@@ -116,7 +116,7 @@ double SimRankEstimate(const Store& store, graph::VertexId a, graph::VertexId b,
   }
   double total = 0.0;
   for (uint64_t pair = 0; pair < num_pairs; ++pair) {
-    util::Rng rng = util::Rng::ForStream(seed, pair);
+    util::Rng rng = util::Rng::ForStream(seed, pair);  // bingo-lint: allow(walker-stream) -- one stream drives a coupled pair of walks
     graph::VertexId x = a;
     graph::VertexId y = b;
     for (uint32_t t = 1; t <= max_length; ++t) {

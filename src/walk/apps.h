@@ -57,6 +57,11 @@ struct MetapathParams {
   }
 };
 
+// The rejection bound f_max = max f(·,·) of node2vec's stepper.
+inline double Node2vecFMax(const Node2vecParams& params) {
+  return std::max({1.0 / params.p, 1.0, 1.0 / params.q});
+}
+
 namespace internal {
 
 template <SamplingStore Store>
@@ -212,35 +217,31 @@ struct UniformStepper {
   bool Terminate(util::Rng& /*rng*/) const { return false; }
 };
 
+template <AdjacencyStore Store>
+Node2vecStepper<Store> MakeNode2vecStepper(const Store& store,
+                                           const Node2vecParams& params) {
+  return Node2vecStepper<Store>{store, params, Node2vecFMax(params)};
+}
+
 }  // namespace internal
 
 template <SamplingStore Store>
 WalkResult RunDeepWalk(const Store& store, const WalkConfig& cfg,
                        util::ThreadPool* pool = nullptr) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  return RunWalks(store, cfg, stepper, pool);
-}
-
-// The rejection bound f_max = max f(·,·); shared by both execution models'
-// node2vec entry points so their steppers can't drift apart.
-inline double Node2vecFMax(const Node2vecParams& params) {
-  return std::max({1.0 / params.p, 1.0, 1.0 / params.q});
+  return RunWalks(store, cfg, internal::FirstOrderStepper<Store>{store}, pool);
 }
 
 template <AdjacencyStore Store>
 WalkResult RunNode2vec(const Store& store, const WalkConfig& cfg,
                        const Node2vecParams& params = {},
                        util::ThreadPool* pool = nullptr) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunWalks(store, cfg, internal::MakeNode2vecStepper(store, params),
+                  pool);
 }
 
 // The paper parameterizes PPR by stop probability (expected length 1/p);
 // the 16x cap only guards the geometric tail. Saturates rather than wraps:
-// a caller-supplied length near 2^32 must not collapse the cap to ~0. Both
-// execution models (RunPpr, RunPartitionedPpr) share this so they stay
-// bit-identical.
+// a caller-supplied length near 2^32 must not collapse the cap to ~0.
 inline uint32_t PprCappedWalkLength(uint32_t walk_length) {
   const uint32_t base = std::max<uint32_t>(walk_length, 1);
   return base > std::numeric_limits<uint32_t>::max() / 16
@@ -248,32 +249,38 @@ inline uint32_t PprCappedWalkLength(uint32_t walk_length) {
              : base * 16;
 }
 
-template <SamplingStore Store>
-WalkResult RunPpr(const Store& store, WalkConfig cfg,
-                  double stop_probability = 1.0 / 80.0,
-                  util::ThreadPool* pool = nullptr) {
+// PPR's config on every driver (engine, superstep, fused, out-of-core):
+// visit counting on and the capped length, so the drivers stay
+// bit-identical.
+inline WalkConfig PprConfig(WalkConfig cfg) {
   cfg.count_visits = true;
   cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  return RunWalks(store, cfg, stepper, pool);
+  return cfg;
+}
+
+template <SamplingStore Store>
+WalkResult RunPpr(const Store& store, const WalkConfig& cfg,
+                  double stop_probability = 1.0 / 80.0,
+                  util::ThreadPool* pool = nullptr) {
+  return RunWalks(store, PprConfig(cfg),
+                  internal::PprStepper<Store>{store, stop_probability}, pool);
 }
 
 template <AdjacencyStore Store>
 WalkResult RunSimpleSampling(const Store& store, const WalkConfig& cfg,
                              util::ThreadPool* pool = nullptr) {
-  internal::UniformStepper<Store> stepper{store};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunWalks(store, cfg, internal::UniformStepper<Store>{store}, pool);
 }
 
 // Metapath-constrained walks (two-mode bipartite with the default {0, 1}
 // pattern). Exact per-step draws over the type-matching neighbors; runs on
-// every AdjacencyStore backend and both execution models bit-identically.
+// every AdjacencyStore backend and every driver bit-identically.
 template <AdjacencyStore Store>
 WalkResult RunMetapath(const Store& store, const WalkConfig& cfg,
                        const MetapathParams& params = {},
                        util::ThreadPool* pool = nullptr) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  return RunWalks(store, cfg, stepper, pool);
+  return RunWalks(store, cfg, internal::MetapathStepper<Store>{store, params},
+                  pool);
 }
 
 }  // namespace bingo::walk

@@ -1,13 +1,8 @@
-// Parallel random-walk driver.
+// Parallel random-walk driver, and the variate contract every driver keeps.
 //
 // The paper launches one walker per vertex and advances walks step by step,
-// each step being one sample (§6 implementation notes iii). This driver
-// runs walkers in parallel on the work-stealing executor with deterministic
-// per-walker RNG streams; results are identical for any thread count, any
-// steal order, any pinning, and for any store backend driving the stepper
-// (see src/walk/store.h).
-//
-// A Stepper supplies the application logic:
+// each step being one sample (§6 implementation notes iii). A Stepper
+// supplies the application logic:
 //
 //   struct Stepper {
 //     // Next vertex, or graph::kInvalidVertex to stop (dead end / reject).
@@ -20,218 +15,73 @@
 // Step-aware steppers (metapath walks, whose eligible target type is a
 // function of the step index) instead expose
 //   Next(cur, prev, uint32_t step, rng)
-// where `step` is the 0-based index of the transition being taken. Every
-// driver dispatches through StepperNext below, so both shapes run on the
-// engine, the superstep model, and the fused pass without adaptation.
+// where `step` is the 0-based index of the transition being taken.
 //
-// Merging is lock-free end to end: step/walker totals and per-vertex visit
-// counts accumulate through relaxed atomics, and per-chunk path buffers
-// land in a pre-sized slot array indexed by chunk id — the executor's chunk
-// plan is a pure function of (range, grain, thread count), so every chunk
-// has exactly one writer and its slot. The buffers themselves are
-// ScratchVectors leasing recycled blocks from the executor's scratch
-// MemoryPool (sharded by worker id): in the steady state a RunWalks call
-// performs zero system allocations for chunk buffers.
+// THE VARIATE CONTRACT. Walker i (0 <= i < num_walkers, num_walkers = |V|
+// when the config says 0) starts at cfg.start_vertex, or at i mod |V| when
+// none is set, and owns the RNG stream Rng::ForStream(cfg.seed, i); nothing
+// else draws from it. Each hop is one StepperNext(cur, prev, hops taken)
+// draw; a dead end retires the walker, otherwise the hop is applied and one
+// Terminate draw follows, after every successful hop including the last.
+// The walk also stops after walk_length hops. The start counts as a visit
+// and opens the path; a walker "finished" when it took at least one hop. A
+// config with no vertices or an out-of-range start_vertex yields no walks
+// (only path_offsets, all zero, when recording).
+//
+// Because the output is a pure function of the contract, every driver —
+// this run-to-completion engine, the superstep walker transfer
+// (partitioned.h), the fused step-synchronous pass (fused.h) and the
+// block-scheduled out-of-core driver (ooc.h) — is bit-identical for any
+// thread count, steal order, pinning, schedule and store backend with the
+// same sampler semantics (src/walk/store.h). All four advance walkers
+// through the one kernel in walker.h and differ only in schedule.
+//
+// This driver runs contiguous walker chunks of the executor's deterministic
+// plan to completion. Chunk buffers are ScratchVectors leasing recycled
+// blocks from the executor's MemoryPool: in the steady state a RunWalks
+// call performs zero system allocations for them.
 
 #ifndef BINGO_SRC_WALK_ENGINE_H_
 #define BINGO_SRC_WALK_ENGINE_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/graph/types.h"
-#include "src/util/rng.h"
-#include "src/util/scratch.h"
 #include "src/util/thread_pool.h"
 #include "src/walk/store.h"
+#include "src/walk/walker.h"
 
 namespace bingo::walk {
-
-struct WalkConfig {
-  uint64_t num_walkers = 0;   // 0 = one per vertex
-  uint32_t walk_length = 80;  // maximum steps (stops earlier on dead ends)
-  uint64_t seed = 42;
-  bool record_paths = false;   // collect full paths (embedding corpora)
-  bool count_visits = false;   // per-vertex visit frequencies (PPR)
-  // When set, every walker starts here instead of at (walker id mod
-  // num_vertices) — single-source queries (personalized PageRank) run on
-  // the same engine and merge path as whole-graph workloads.
-  graph::VertexId start_vertex = graph::kInvalidVertex;
-};
-
-// Uniform dispatch over the two stepper shapes. `step` is the 0-based index
-// of the transition about to be taken (== number of hops already taken);
-// classic steppers never see it, so their variate sequences are untouched.
-template <typename Stepper>
-graph::VertexId StepperNext(const Stepper& stepper, graph::VertexId cur,
-                            graph::VertexId prev, uint32_t step,
-                            util::Rng& rng) {
-  if constexpr (requires { stepper.Next(cur, prev, step, rng); }) {
-    return stepper.Next(cur, prev, step, rng);
-  } else {
-    return stepper.Next(cur, prev, rng);
-  }
-}
-
-struct WalkResult {
-  uint64_t total_steps = 0;       // edges traversed across all walkers
-  uint64_t finished_walkers = 0;  // walkers that took at least one step
-  // Flattened paths when record_paths: walker i owns
-  // paths[path_offsets[i] .. path_offsets[i+1]).
-  std::vector<graph::VertexId> paths;
-  std::vector<uint64_t> path_offsets;
-  // Visit frequencies when count_visits (includes start vertices).
-  std::vector<uint32_t> visit_counts;
-};
 
 template <typename Stepper>
 WalkResult RunWalks(graph::VertexId num_vertices, const WalkConfig& cfg,
                     const Stepper& stepper, util::ThreadPool* pool = nullptr) {
-  const uint64_t num_walkers =
-      cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
-  WalkResult result;
-  if (cfg.record_paths) {
-    result.path_offsets.assign(num_walkers + 1, 0);
-  }
-  if (num_vertices == 0 || num_walkers == 0 ||
-      (cfg.start_vertex != graph::kInvalidVertex &&
-       cfg.start_vertex >= num_vertices)) {
-    return result;  // nowhere (or nowhere valid) to start a walker
-  }
-
-  std::atomic<uint64_t> total_steps{0};
-  std::atomic<uint64_t> finished_walkers{0};
-  // Shared visit accumulator; merged with relaxed fetch_add (additions
-  // commute, so the result stays deterministic).
-  std::vector<std::atomic<uint32_t>> visit_acc(cfg.count_visits ? num_vertices
-                                                                : 0);
-
-  // One slot per chunk of the executor's deterministic plan (a single slot
-  // on the serial path). Each chunk task moves its leased buffers into its
-  // own slot — no merge lock, single writer by construction.
+  WalkBuilder walks(num_vertices, cfg, pool);
+  const uint64_t num_walkers = walks.Launched();
   constexpr std::size_t kGrain = 256;
   const util::ChunkPlan plan =
       pool != nullptr
           ? util::ComputeChunkPlan(num_walkers, kGrain, pool->NumThreads())
           : util::ChunkPlan{1, static_cast<std::size_t>(num_walkers)};
-  util::MemoryPool* scratch = pool != nullptr ? &pool->ScratchMemory() : nullptr;
-  struct ChunkOutput {
-    util::ScratchVector<graph::VertexId> paths;
-    util::ScratchVector<uint64_t> lengths;  // per walker, when recording
-  };
-  std::vector<ChunkOutput> chunks(cfg.record_paths ? plan.num_chunks : 0);
-
+  const std::span<WalkSink> sinks = walks.Sinks(plan.num_chunks);
   const auto run_chunk = [&](std::size_t chunk, std::size_t lo,
                              std::size_t hi) {
-    uint64_t steps = 0;
-    uint64_t finished = 0;
-    ChunkOutput out{util::ScratchVector<graph::VertexId>(scratch),
-                    util::ScratchVector<uint64_t>(scratch)};
-    if (cfg.record_paths) {
-      // Upper bound (start + walk_length per walker), capped so huge PPR
-      // caps don't balloon transient chunk buffers.
-      out.paths.reserve(std::min<uint64_t>(
-          (hi - lo) * (uint64_t{cfg.walk_length} + 1), uint64_t{1} << 20));
-      out.lengths.reserve(hi - lo);
-    }
-    util::ScratchVector<uint32_t> local_visits(scratch);
-    if (cfg.count_visits) {
-      local_visits.assign(num_vertices, 0);
-    }
+    WalkSink& sink = sinks[chunk];
+    sink.Reserve(hi - lo, cfg.walk_length);
     for (std::size_t w = lo; w < hi; ++w) {
-      util::Rng rng = util::Rng::ForStream(cfg.seed, w);
-      graph::VertexId cur =
-          cfg.start_vertex != graph::kInvalidVertex
-              ? cfg.start_vertex
-              : static_cast<graph::VertexId>(w % num_vertices);
-      graph::VertexId prev = graph::kInvalidVertex;
-      uint64_t len = 0;
-      if (cfg.record_paths) {
-        out.paths.push_back(cur);
-        ++len;
-      }
-      if (cfg.count_visits) {
-        ++local_visits[cur];
-      }
-      uint32_t step = 0;
-      for (; step < cfg.walk_length; ++step) {
-        const graph::VertexId next = StepperNext(stepper, cur, prev, step, rng);
-        if (next == graph::kInvalidVertex) {
-          break;
-        }
-        prev = cur;
-        cur = next;
-        ++steps;
-        if (cfg.record_paths) {
-          out.paths.push_back(cur);
-          ++len;
-        }
-        if (cfg.count_visits) {
-          ++local_visits[cur];
-        }
-        if (stepper.Terminate(rng)) {
-          ++step;
-          break;
-        }
-      }
-      if (step > 0) {
-        ++finished;
-      }
-      if (cfg.record_paths) {
-        out.lengths.push_back(len);
-      }
+      Walker walker = walks.Launch(w);
+      Advance(stepper, cfg, walker, sink, kRunToCompletion);
     }
-    total_steps.fetch_add(steps, std::memory_order_relaxed);
-    finished_walkers.fetch_add(finished, std::memory_order_relaxed);
-    if (cfg.count_visits) {
-      for (graph::VertexId v = 0; v < num_vertices; ++v) {
-        if (local_visits[v] != 0) {
-          visit_acc[v].fetch_add(local_visits[v], std::memory_order_relaxed);
-        }
-      }
-    }
-    if (cfg.record_paths) {
-      chunks[chunk] = std::move(out);
-    }
+    walks.Fold(sink);
   };
-
   if (pool != nullptr) {
     pool->ParallelForChunks(0, num_walkers, run_chunk, kGrain);
-  } else {
+  } else if (num_walkers > 0) {
     run_chunk(0, 0, num_walkers);
   }
-
-  result.total_steps = total_steps.load(std::memory_order_relaxed);
-  result.finished_walkers = finished_walkers.load(std::memory_order_relaxed);
-  if (cfg.count_visits) {
-    result.visit_counts.resize(num_vertices);
-    for (graph::VertexId v = 0; v < num_vertices; ++v) {
-      result.visit_counts[v] = visit_acc[v].load(std::memory_order_relaxed);
-    }
-  }
-
-  if (cfg.record_paths) {
-    // Stitch per-chunk buffers into the flattened layout. Chunk c covers
-    // walkers [c * chunk_size, ...), per the executor's plan.
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      const std::size_t begin = c * plan.chunk_size;
-      for (std::size_t i = 0; i < chunks[c].lengths.size(); ++i) {
-        result.path_offsets[begin + i + 1] = chunks[c].lengths[i];
-      }
-    }
-    for (std::size_t i = 1; i < result.path_offsets.size(); ++i) {
-      result.path_offsets[i] += result.path_offsets[i - 1];
-    }
-    result.paths.resize(result.path_offsets.back());
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      uint64_t cursor = result.path_offsets[c * plan.chunk_size];
-      for (graph::VertexId v : chunks[c].paths) {
-        result.paths[cursor++] = v;
-      }
-    }
-  }
+  WalkResult result;
+  walks.Finish(result);
   return result;
 }
 

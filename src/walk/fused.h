@@ -5,8 +5,7 @@
 // into the sampler of a cold vertex. This driver executes a GROUP of walk
 // queries as one pass: the union of all queries' walkers is chunked onto
 // the executor, and within a chunk all walkers advance together step by
-// step in structure-of-arrays form. That layout is what unlocks the PR's
-// two serving optimizations:
+// step. That layout is what unlocks two serving optimizations:
 //
 //   * Batched draws — walkers of a chunk standing on the same vertex at the
 //     same step resolve their next hop through the store's lane-batched
@@ -16,15 +15,11 @@
 //     next group's sampler state and adjacency head are prefetched
 //     (store.PrefetchVertex), hiding the chase behind real work.
 //
-// BIT-IDENTITY. Each walker of query q owns the RNG stream
-// Rng::ForStream(cfg_q.seed, walker_id) and nothing else consumes from it.
-// Every reordering this driver performs is across walkers; within a walker
-// the variate order of the scalar engine (Next draws, then the Terminate
-// draw, per step) is preserved exactly — the batched draw path is itself
-// bit-identical per walker (see BatchSamplingStore). Hence every query's
-// WalkResult is bit-for-bit what RunWalks(store, cfg_q, stepper, pool)
-// returns, for any store, thread count, and SIMD level. Tests pin this
-// (tests/query_batcher_test.cc).
+// Walkers keep the variate contract stated in engine.h: every reordering
+// here is across walkers, and the batched draw is itself bit-identical per
+// walker (see BatchSamplingStore), so every query's WalkResult is bit-for-
+// bit what RunWalks(store, cfg_q, stepper, pool) returns, for any store,
+// thread count, and SIMD level (tests/query_batcher_test.cc).
 //
 // Steppers advertise `kFirstOrder` (walk/apps.h): only first-order steppers
 // (DeepWalk, PPR) use the batched-draw path; second-order node2vec keeps
@@ -39,9 +34,10 @@
 #define BINGO_SRC_WALK_FUSED_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -57,21 +53,12 @@ namespace bingo::walk {
 
 namespace fused_internal {
 
-// Satisfied only by steppers that declare themselves first-order (Next is
-// exactly one SampleNeighbor draw, independent of prev).
-template <typename Stepper>
-concept FirstOrderTagged = requires { requires Stepper::kFirstOrder; };
-
+// Batched draws need a lane-batched store and a stepper that declares
+// itself first-order (Next is exactly one SampleNeighbor draw, independent
+// of prev).
 template <typename Store, typename Stepper>
 inline constexpr bool kBatchDraws =
-    BatchSamplingStore<Store> && FirstOrderTagged<Stepper>;
-
-// Same slot-merge layout as the engine's per-chunk output: walker-major
-// contiguous paths plus per-walker lengths.
-struct ChunkPaths {
-  util::ScratchVector<graph::VertexId> paths;
-  util::ScratchVector<uint64_t> lengths;
-};
+    BatchSamplingStore<Store> && requires { requires Stepper::kFirstOrder; };
 
 // Walkers standing alone on a vertex go through the scalar stepper; only
 // runs at least this long pay the batch kernel's tile setup.
@@ -91,114 +78,76 @@ constexpr std::size_t MinBatchRunFor() {
   }
 }
 
-// Advances walkers [lo, hi) of one query to completion, step-synchronously.
+// Advances walkers [lo, hi) of one query to completion, step-synchronously:
+// each step resolves every live walker's next vertex and applies it through
+// the shared kernel, compacting the survivors into `alive`.
 template <typename Store, typename Stepper>
 void RunFusedChunk(const Store& store, const Stepper& stepper,
-                   const WalkConfig& cfg, graph::VertexId num_vertices,
-                   uint64_t lo, uint64_t hi, util::MemoryPool* scratch,
-                   std::atomic<uint64_t>& total_steps,
-                   std::atomic<uint64_t>& finished_walkers,
-                   std::span<std::atomic<uint32_t>> visit_acc,
-                   ChunkPaths* out_paths) {
+                   const WalkBuilder& walks, uint64_t lo, uint64_t hi,
+                   WalkSink& sink) {
   const std::size_t n = static_cast<std::size_t>(hi - lo);
-  const uint32_t walk_length = cfg.walk_length;
-  // Walker-major SoA state. Paths land in a fixed-stride slab (row i =
-  // walker lo + i) because walkers finish at different steps; the slab is
-  // compacted into the engine's walker-major chunk layout at the end.
-  const uint64_t stride = uint64_t{walk_length} + 1;
-  util::ScratchVector<util::Rng> rngs(scratch);
-  util::ScratchVector<graph::VertexId> curs(scratch);
-  util::ScratchVector<graph::VertexId> prevs(scratch);
-  util::ScratchVector<graph::VertexId> nexts(scratch);
+  const uint32_t walk_length = walks.Config().walk_length;
+  util::MemoryPool* scratch = walks.Scratch();
+  util::ScratchVector<Walker> walkers(scratch);
   util::ScratchVector<uint32_t> alive(scratch);
-  util::ScratchVector<uint8_t> took_step(scratch);
-  util::ScratchVector<graph::VertexId> slab(scratch);
-  util::ScratchVector<uint64_t> lens(scratch);
-  util::ScratchVector<uint32_t> local_visits(scratch);
-  util::ScratchVector<uint64_t> order(scratch);    // (cur << 32) | local id
+  util::ScratchVector<uint64_t> order(scratch);
   util::ScratchVector<util::Rng*> rng_ptrs(scratch);
   util::ScratchVector<graph::VertexId> batch_out(scratch);
-
-  rngs.reserve(n);
-  curs.reserve(n);
-  prevs.assign(n, graph::kInvalidVertex);
-  nexts.assign(n, graph::kInvalidVertex);
+  walkers.reserve(n);
   alive.reserve(n);
-  took_step.assign(n, 0);
-  if (cfg.record_paths) {
-    slab.assign(static_cast<std::size_t>(n * stride), 0);
-    lens.assign(n, 0);
-  }
-  if (cfg.count_visits) {
-    local_visits.assign(num_vertices, 0);
-  }
+  batch_out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rngs.push_back(util::Rng::ForStream(cfg.seed, lo + i));
-    const graph::VertexId start =
-        cfg.start_vertex != graph::kInvalidVertex
-            ? cfg.start_vertex
-            : static_cast<graph::VertexId>((lo + i) % num_vertices);
-    curs.push_back(start);
+    walkers.push_back(walks.Launch(lo + i));
     alive.push_back(static_cast<uint32_t>(i));
-    if (cfg.record_paths) {
-      slab[static_cast<std::size_t>(i * stride)] = start;
-      lens[i] = 1;
-    }
-    if (cfg.count_visits) {
-      ++local_visits[start];
-    }
   }
 
-  uint64_t steps_local = 0;
-  uint64_t finished_local = 0;
-  std::size_t num_alive = n;
-  for (uint32_t step = 0; step < walk_length && num_alive > 0; ++step) {
-    // Phase 1: resolve every live walker's next vertex into nexts[]. Draw
-    // order within each walker's own stream matches the scalar engine.
+  for (std::size_t num_alive = n; num_alive > 0;) {
+    // Survivors are written back at or behind the read position of
+    // `alive` (the batched path reads lanes from `order` instead).
+    std::size_t keep = 0;
+    const auto hop = [&](uint32_t i, graph::VertexId next) {
+      if (Hop(stepper, walk_length, walkers[i], next, sink)) {
+        alive[keep++] = i;
+      }
+    };
+    const auto scalar_hop = [&](uint32_t i) {
+      Walker& w = walkers[i];
+      hop(i, StepperNext(stepper, w.cur, w.prev, w.len, w.rng));
+    };
     if constexpr (kBatchDraws<Store, Stepper>) {
+      // Group same-vertex walkers: keys are (cur << 32) | lane, unique, so
+      // plain sort is deterministic.
       order.clear();
       for (std::size_t j = 0; j < num_alive; ++j) {
-        const uint32_t i = alive[j];
-        order.push_back((uint64_t{curs[i]} << 32) | i);
+        order.push_back((uint64_t{walkers[alive[j]].cur} << 32) | alive[j]);
       }
-      // Group same-vertex walkers; keys are unique (low bits are walker
-      // ids) so plain sort is deterministic.
       std::sort(order.begin(), order.end());
-      if (num_alive > 1) {
-        batch_out.reserve(num_alive);
-      }
-      std::size_t a = 0;
-      while (a < num_alive) {
-        const graph::VertexId v =
-            static_cast<graph::VertexId>(order[a] >> 32);
-        std::size_t b = a + 1;
-        while (b < num_alive &&
-               static_cast<graph::VertexId>(order[b] >> 32) == v) {
-          ++b;
+      const auto lane = [&](std::size_t t) {
+        return static_cast<uint32_t>(order[t]);
+      };
+      for (std::size_t a = 0, b = 0; a < num_alive; a = b) {
+        const auto v = static_cast<graph::VertexId>(order[a] >> 32);
+        for (b = a + 1; b < num_alive && (order[b] >> 32) == v; ++b) {
         }
         if (b < num_alive) {
           // Warm the next group's sampler + adjacency while this group
           // resolves.
           store.PrefetchVertex(static_cast<graph::VertexId>(order[b] >> 32));
         }
-        const std::size_t run = b - a;
-        if (run >= MinBatchRunFor<Store>()) {
-          rng_ptrs.clear();
+        if (b - a < MinBatchRunFor<Store>()) {
           for (std::size_t t = a; t < b; ++t) {
-            rng_ptrs.push_back(&rngs[static_cast<uint32_t>(order[t])]);
+            scalar_hop(lane(t));
           }
-          store.SampleNeighborBatch(v, rng_ptrs.data(), run,
-                                    batch_out.data());
-          for (std::size_t t = 0; t < run; ++t) {
-            nexts[static_cast<uint32_t>(order[a + t])] = batch_out[t];
-          }
-        } else {
-          for (std::size_t t = a; t < b; ++t) {
-            const uint32_t i = static_cast<uint32_t>(order[t]);
-            nexts[i] = StepperNext(stepper, curs[i], prevs[i], step, rngs[i]);
-          }
+          continue;
         }
-        a = b;
+        rng_ptrs.clear();
+        for (std::size_t t = a; t < b; ++t) {
+          rng_ptrs.push_back(&walkers[lane(t)].rng);
+        }
+        store.SampleNeighborBatch(v, rng_ptrs.data(), b - a, batch_out.data());
+        for (std::size_t t = a; t < b; ++t) {
+          hop(lane(t), batch_out[t - a]);
+        }
       }
     } else {
       for (std::size_t j = 0; j < num_alive; ++j) {
@@ -206,68 +155,13 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
                         store.PrefetchVertex(v);
                       }) {
           if (j + kPrefetchAhead < num_alive) {
-            store.PrefetchVertex(curs[alive[j + kPrefetchAhead]]);
+            store.PrefetchVertex(walkers[alive[j + kPrefetchAhead]].cur);
           }
         }
-        const uint32_t i = alive[j];
-        nexts[i] = StepperNext(stepper, curs[i], prevs[i], step, rngs[i]);
+        scalar_hop(alive[j]);
       }
-    }
-    // Phase 2: apply the step. Dead ends drop out silently; survivors draw
-    // their Terminate variate (after their Next draws — scalar order).
-    std::size_t keep = 0;
-    for (std::size_t j = 0; j < num_alive; ++j) {
-      const uint32_t i = alive[j];
-      const graph::VertexId next = nexts[i];
-      if (next == graph::kInvalidVertex) {
-        continue;
-      }
-      prevs[i] = curs[i];
-      curs[i] = next;
-      ++steps_local;
-      if (!took_step[i]) {
-        took_step[i] = 1;
-        ++finished_local;
-      }
-      if (cfg.record_paths) {
-        slab[static_cast<std::size_t>(i * stride + lens[i])] = next;
-        ++lens[i];
-      }
-      if (cfg.count_visits) {
-        ++local_visits[next];
-      }
-      if (stepper.Terminate(rngs[i])) {
-        continue;
-      }
-      alive[keep++] = i;
     }
     num_alive = keep;
-  }
-
-  total_steps.fetch_add(steps_local, std::memory_order_relaxed);
-  finished_walkers.fetch_add(finished_local, std::memory_order_relaxed);
-  if (cfg.count_visits) {
-    for (graph::VertexId v = 0; v < num_vertices; ++v) {
-      if (local_visits[v] != 0) {
-        visit_acc[v].fetch_add(local_visits[v], std::memory_order_relaxed);
-      }
-    }
-  }
-  if (cfg.record_paths && out_paths != nullptr) {
-    ChunkPaths out{util::ScratchVector<graph::VertexId>(scratch),
-                   util::ScratchVector<uint64_t>(scratch)};
-    uint64_t total_len = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total_len += lens[i];
-    }
-    out.paths.reserve(static_cast<std::size_t>(total_len));
-    out.lengths.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const graph::VertexId* row = slab.data() + i * stride;
-      out.paths.append(row, row + lens[i]);
-      out.lengths.push_back(lens[i]);
-    }
-    *out_paths = std::move(out);
   }
 }
 
@@ -282,81 +176,32 @@ void RunFusedQueries(const Store& store, std::span<const WalkConfig> cfgs,
                      const Stepper& stepper, std::span<WalkResult> results,
                      util::ThreadPool* pool = nullptr) {
   assert(results.size() == cfgs.size());
-  const graph::VertexId num_vertices =
-      static_cast<graph::VertexId>(store.NumVertices());
-  constexpr std::size_t kChunk = 256;
-  // Path slabs are stride-allocated; beyond this length (PPR-capped
-  // lengths, notably) the scalar engine records more compactly.
-  constexpr uint32_t kMaxRecordedLength = 1024;
-
-  struct QueryState {
-    bool fused = false;
-    uint64_t num_walkers = 0;
-    std::size_t num_chunks = 0;
-    std::atomic<uint64_t> steps{0};
-    std::atomic<uint64_t> finished{0};
-    std::vector<std::atomic<uint32_t>> visits;
-    std::vector<fused_internal::ChunkPaths> chunks;
-  };
+  constexpr uint64_t kChunk = 256;
   struct Task {
-    uint32_t query;
-    uint32_t chunk;
+    WalkBuilder* walks;
+    WalkSink* sink;
     uint64_t lo;
     uint64_t hi;
   };
-
-  std::vector<QueryState> states(cfgs.size());
+  std::deque<WalkBuilder> builders;  // stable addresses for the tasks
   std::vector<Task> tasks;
-  for (std::size_t q = 0; q < cfgs.size(); ++q) {
-    const WalkConfig& cfg = cfgs[q];
-    WalkResult& result = results[q];
-    result = WalkResult{};
-    const uint64_t num_walkers =
-        cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
-    if (cfg.record_paths) {
-      result.path_offsets.assign(num_walkers + 1, 0);
-    }
-    if (num_vertices == 0 || num_walkers == 0 ||
-        (cfg.start_vertex != graph::kInvalidVertex &&
-         cfg.start_vertex >= num_vertices)) {
-      continue;  // engine semantics: nowhere (valid) to start
-    }
-    if (cfg.record_paths && cfg.walk_length >= kMaxRecordedLength) {
-      result = RunWalks(num_vertices, cfg, stepper, pool);
-      continue;
-    }
-    QueryState& state = states[q];
-    state.fused = true;
-    state.num_walkers = num_walkers;
-    state.num_chunks =
-        static_cast<std::size_t>((num_walkers + kChunk - 1) / kChunk);
-    if (cfg.count_visits) {
-      state.visits = std::vector<std::atomic<uint32_t>>(num_vertices);
-    }
-    if (cfg.record_paths) {
-      state.chunks.resize(state.num_chunks);
-    }
-    for (std::size_t c = 0; c < state.num_chunks; ++c) {
-      tasks.push_back(Task{static_cast<uint32_t>(q),
-                           static_cast<uint32_t>(c), c * kChunk,
-                           std::min<uint64_t>(num_walkers, (c + 1) * kChunk)});
+  for (const WalkConfig& cfg : cfgs) {
+    WalkBuilder& walks = builders.emplace_back(
+        static_cast<graph::VertexId>(store.NumVertices()), cfg, pool);
+    const uint64_t n = walks.Launched();
+    const std::span<WalkSink> sinks = walks.Sinks((n + kChunk - 1) / kChunk);
+    for (uint64_t lo = 0; lo < n; lo += kChunk) {
+      tasks.push_back(Task{&walks, &sinks[lo / kChunk], lo,
+                           std::min(n, lo + kChunk)});
     }
   }
-  if (tasks.empty()) {
-    return;
-  }
-
-  util::MemoryPool* scratch =
-      pool != nullptr ? &pool->ScratchMemory() : nullptr;
+  // Each task folds its sink when done, so dense visit counters live only
+  // while their chunk runs.
   const auto run_task = [&](std::size_t t) {
     const Task& task = tasks[t];
-    QueryState& state = states[task.query];
-    const WalkConfig& cfg = cfgs[task.query];
-    fused_internal::RunFusedChunk(
-        store, stepper, cfg, num_vertices, task.lo, task.hi, scratch,
-        state.steps, state.finished,
-        std::span<std::atomic<uint32_t>>(state.visits),
-        cfg.record_paths ? &state.chunks[task.chunk] : nullptr);
+    fused_internal::RunFusedChunk(store, stepper, *task.walks, task.lo,
+                                  task.hi, *task.sink);
+    task.walks->Fold(*task.sink);
   };
   if (pool != nullptr) {
     pool->ParallelFor(0, tasks.size(), run_task);
@@ -365,42 +210,9 @@ void RunFusedQueries(const Store& store, std::span<const WalkConfig> cfgs,
       run_task(t);
     }
   }
-
   for (std::size_t q = 0; q < cfgs.size(); ++q) {
-    QueryState& state = states[q];
-    if (!state.fused) {
-      continue;
-    }
-    const WalkConfig& cfg = cfgs[q];
-    WalkResult& result = results[q];
-    result.total_steps = state.steps.load(std::memory_order_relaxed);
-    result.finished_walkers = state.finished.load(std::memory_order_relaxed);
-    if (cfg.count_visits) {
-      result.visit_counts.resize(num_vertices);
-      for (graph::VertexId v = 0; v < num_vertices; ++v) {
-        result.visit_counts[v] =
-            state.visits[v].load(std::memory_order_relaxed);
-      }
-    }
-    if (cfg.record_paths) {
-      // Engine-identical stitch: chunk c covers walkers [c*kChunk, ...).
-      for (std::size_t c = 0; c < state.chunks.size(); ++c) {
-        const std::size_t begin = c * kChunk;
-        for (std::size_t i = 0; i < state.chunks[c].lengths.size(); ++i) {
-          result.path_offsets[begin + i + 1] = state.chunks[c].lengths[i];
-        }
-      }
-      for (std::size_t i = 1; i < result.path_offsets.size(); ++i) {
-        result.path_offsets[i] += result.path_offsets[i - 1];
-      }
-      result.paths.resize(result.path_offsets.back());
-      for (std::size_t c = 0; c < state.chunks.size(); ++c) {
-        uint64_t cursor = result.path_offsets[c * kChunk];
-        for (graph::VertexId v : state.chunks[c].paths) {
-          result.paths[cursor++] = v;
-        }
-      }
-    }
+    results[q] = WalkResult{};
+    builders[q].Finish(results[q]);
   }
 }
 
@@ -418,16 +230,15 @@ WalkResult RunFusedWalks(const Store& store, const WalkConfig& cfg,
 
 // --- fused application entry points ----------------------------------------
 //
-// Mirrors of RunDeepWalk / RunPpr / RunNode2vec (walk/apps.h) over a query
-// group. Config normalization (PPR's visit counting and capped length) is
-// identical to the per-query entry points so the two paths cannot drift.
+// Mirrors of RunDeepWalk / RunPpr / RunNode2vec / RunMetapath (walk/apps.h)
+// over a query group, with the same steppers and config makers.
 
 template <SamplingStore Store>
 void RunDeepWalkFused(const Store& store, std::span<const WalkConfig> cfgs,
                       std::span<WalkResult> results,
                       util::ThreadPool* pool = nullptr) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
+  RunFusedQueries(store, cfgs, internal::FirstOrderStepper<Store>{store},
+                  results, pool);
 }
 
 template <SamplingStore Store>
@@ -435,13 +246,11 @@ void RunPprFused(const Store& store, std::span<const WalkConfig> cfgs,
                  std::span<WalkResult> results,
                  double stop_probability = 1.0 / 80.0,
                  util::ThreadPool* pool = nullptr) {
-  std::vector<WalkConfig> adjusted(cfgs.begin(), cfgs.end());
-  for (WalkConfig& cfg : adjusted) {
-    cfg.count_visits = true;
-    cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  }
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  RunFusedQueries(store, std::span<const WalkConfig>(adjusted), stepper,
+  std::vector<WalkConfig> ppr_cfgs;
+  std::transform(cfgs.begin(), cfgs.end(), std::back_inserter(ppr_cfgs),
+                 PprConfig);
+  RunFusedQueries(store, std::span<const WalkConfig>(ppr_cfgs),
+                  internal::PprStepper<Store>{store, stop_probability},
                   results, pool);
 }
 
@@ -450,9 +259,8 @@ void RunNode2vecFused(const Store& store, std::span<const WalkConfig> cfgs,
                       std::span<WalkResult> results,
                       const Node2vecParams& params = {},
                       util::ThreadPool* pool = nullptr) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
+  RunFusedQueries(store, cfgs, internal::MakeNode2vecStepper(store, params),
+                  results, pool);
 }
 
 template <AdjacencyStore Store>
@@ -460,8 +268,8 @@ void RunMetapathFused(const Store& store, std::span<const WalkConfig> cfgs,
                       std::span<WalkResult> results,
                       const MetapathParams& params = {},
                       util::ThreadPool* pool = nullptr) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  RunFusedQueries(store, cfgs, stepper, results, pool);
+  RunFusedQueries(store, cfgs, internal::MetapathStepper<Store>{store, params},
+                  results, pool);
 }
 
 }  // namespace bingo::walk

@@ -312,7 +312,7 @@ void IncrementalWalkCorpusT<Store>::Generate(const View& view,
   }
   const auto run_range = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t w = lo; w < hi; ++w) {
-      util::Rng rng = util::Rng::ForStream(config_.seed, w);
+      util::Rng rng = util::Rng::ForStream(config_.seed, w);  // bingo-lint: allow(walker-stream) -- corpus generation streams are part of the checkpointed corpus format
       walks_[w].clear();
       walks_[w].push_back(static_cast<graph::VertexId>(w % n));
       ExtendWalk(view, w, 0, rng);
@@ -429,7 +429,7 @@ IncrementalWalkCorpusT<Store>::RepairAfterUpdates(
   // order cannot change the output.
   const auto resample = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      util::Rng rng = util::Rng::ForStream(
+      util::Rng rng = util::Rng::ForStream(  // bingo-lint: allow(walker-stream) -- repair epochs resample suffixes from their own streams
           config_.seed ^ (repair_epoch_ << 32), tasks[i].walk);
       ExtendWalk(view, tasks[i].walk, tasks[i].first, rng);
     }

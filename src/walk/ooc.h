@@ -1,24 +1,23 @@
 // Out-of-core walk driver: block-pass scheduling over a TieredStore (or any
 // store modeling BlockScheduledStore).
 //
-// Execution model (the randgraph engine's discipline, adapted to this
-// repo's determinism contract): walkers live in per-block queues keyed by
-// the block of their current vertex. Each scheduling round picks one block
-// — the virtual RAM block first whenever it has walkers (draining it costs
-// no I/O), otherwise the block with the most parked walkers (the cache's
-// rank query) — maps it under the resident-byte budget, and runs one
-// parallel *pass*: every queued walker advances stickily while its current
-// vertex stays inside the block, then retires or parks in the queue of the
-// block it crossed into. Queues past a threshold spill to disk as raw
-// walker records (56 bytes each: id, position, length, RNG state) and
-// drain back when their block is scheduled.
+// Execution model (the randgraph engine's discipline): walkers live in
+// per-block queues keyed by the block of their current vertex. Each
+// scheduling round picks one block — the virtual RAM block first whenever
+// it has walkers (draining it costs no I/O), otherwise the block with the
+// most parked walkers (the cache's rank query) — maps it under the
+// resident-byte budget, and runs one parallel *pass* over its queue. On a
+// budgeted store a walker advances while its current vertex stays inside
+// the block, then retires or parks in the queue of the block it crossed
+// into; queues past a threshold spill to disk as raw Walker records and
+// drain back when their block is scheduled. An unbudgeted store
+// demand-maps any block, so there a walker runs to completion in the pass
+// of its start block and nothing parks.
 //
-// Determinism: a walker's variate sequence is exactly the engine's —
-// ForStream(seed, id), one StepperNext per hop, one Terminate draw after
-// every successful hop — and its full state travels with it through queues
-// and spill files. Walk output (steps, finished count, paths, visits) is
-// therefore bit-identical to RunWalks on the same store at ANY cache
-// budget, spill threshold, thread count, or block schedule.
+// Walkers keep the variate contract stated in engine.h, and their full
+// state travels with them through queues and spill files, so output is
+// bit-identical to RunWalks on the same store at ANY cache budget, spill
+// threshold, thread count, or block schedule.
 //
 // Concurrency: one RunOocWalks at a time per *budgeted* store (eviction
 // between passes would yank mappings from under a concurrent pass); the
@@ -29,14 +28,13 @@
 #ifndef BINGO_SRC_WALK_OOC_H_
 #define BINGO_SRC_WALK_OOC_H_
 
-#include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/block_cache.h"
 #include "src/graph/types.h"
-#include "src/util/rng.h"
 #include "src/util/scratch.h"
 #include "src/util/thread_pool.h"
 #include "src/walk/apps.h"
@@ -44,18 +42,6 @@
 #include "src/walk/store.h"
 
 namespace bingo::walk {
-
-// One parked walker: everything needed to resume its walk bit-exactly.
-// Fixed-size and trivially copyable so spill files are raw record arrays.
-struct OocWalker {
-  uint64_t id = 0;
-  graph::VertexId cur = graph::kInvalidVertex;
-  graph::VertexId prev = graph::kInvalidVertex;
-  uint32_t len = 0;  // successful steps taken so far
-  util::Rng rng;
-};
-static_assert(std::is_trivially_copyable_v<OocWalker>,
-              "spill files store raw OocWalker records");
 
 struct OocWalkOptions {
   // Park queues at or past this walker count spill to disk after each
@@ -75,7 +61,7 @@ struct OocWalkResult : WalkResult {
   std::string error;  // non-empty: the walk aborted (results partial)
 };
 
-// Disk spill for park queues: one lazily-created file of raw OocWalker
+// Disk spill for park queues: one lazily-created file of raw Walker
 // records per block. Single-scheduler use only (no internal locking).
 class WalkerSpill {
  public:
@@ -90,10 +76,10 @@ class WalkerSpill {
   bool Enabled() const { return !dir_.empty(); }
   uint64_t Spilled(uint32_t block) const { return counts_[block]; }
 
-  bool Spill(uint32_t block, const OocWalker* walkers, std::size_t count);
+  bool Spill(uint32_t block, const Walker* walkers, std::size_t count);
   // Appends block's spilled walkers (oldest first) to `out`, removes the
   // file. False on I/O failure (records may be lost; caller aborts).
-  bool Drain(uint32_t block, std::vector<OocWalker>& out);
+  bool Drain(uint32_t block, std::vector<Walker>& out);
 
  private:
   std::string PathFor(uint32_t block) const;
@@ -127,20 +113,12 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
                           const Stepper& stepper,
                           util::ThreadPool* pool = nullptr,
                           const OocWalkOptions& options = {}) {
-  const graph::VertexId num_vertices =
-      static_cast<graph::VertexId>(store.NumVertices());
-  const uint64_t num_walkers =
-      cfg.num_walkers == 0 ? num_vertices : cfg.num_walkers;
+  WalkBuilder walks(static_cast<graph::VertexId>(store.NumVertices()), cfg,
+                    pool);
   OocWalkResult result;
-  if (cfg.record_paths) {
-    result.path_offsets.assign(num_walkers + 1, 0);
-  }
-  if (num_vertices == 0 || num_walkers == 0 ||
-      (cfg.start_vertex != graph::kInvalidVertex &&
-       cfg.start_vertex >= num_vertices)) {
-    return result;
-  }
-  const bool exclusive = store.Budgeted();
+  uint64_t live = walks.Launched();
+  const bool budgeted = store.Budgeted();
+  const bool exclusive = live > 0 && budgeted;
   if (exclusive && !store.TryBeginExclusiveWalk()) {
     result.error =
         "concurrent out-of-core walks on one budgeted store are "
@@ -150,60 +128,27 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   const core::BlockCacheStats before = store.CacheStats();
   const uint32_t num_blocks = store.NumBlocks();
   const uint32_t ram = store.RamBlock();
-
-  std::atomic<uint64_t> total_steps{0};
-  std::atomic<uint64_t> finished_walkers{0};
-  std::vector<std::atomic<uint32_t>> visit_acc(cfg.count_visits ? num_vertices
-                                                                : 0);
-  util::MemoryPool* scratch =
-      pool != nullptr ? &pool->ScratchMemory() : nullptr;
-  // Paths are keyed by walker id — exactly one pass (and one chunk within
-  // it) appends to a given walker's buffer at a time.
-  std::vector<util::ScratchVector<graph::VertexId>> walker_paths;
-  if (cfg.record_paths) {
-    walker_paths.reserve(num_walkers);
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      walker_paths.emplace_back(scratch);
-    }
-  }
-
-  std::vector<std::vector<OocWalker>> queues(num_blocks);
-  WalkerSpill spill(options.spill_threshold_walkers > 0 ? options.spill_dir
-                                                        : std::string(),
-                    num_blocks);
-  uint64_t live = 0;
-  for (uint64_t w = 0; w < num_walkers; ++w) {
-    OocWalker walker;
-    walker.id = w;
-    walker.rng = util::Rng::ForStream(cfg.seed, w);
-    walker.cur = cfg.start_vertex != graph::kInvalidVertex
-                     ? cfg.start_vertex
-                     : static_cast<graph::VertexId>(w % num_vertices);
-    if (cfg.record_paths) {
-      walker_paths[w].push_back(walker.cur);
-    }
-    if (cfg.count_visits) {
-      visit_acc[walker.cur].fetch_add(1, std::memory_order_relaxed);
-    }
-    if (cfg.walk_length == 0) {
-      continue;  // records its start, never runs — matches the engine
-    }
+  std::vector<std::vector<Walker>> queues(num_blocks);
+  for (uint64_t w = 0; w < live; ++w) {
+    const Walker walker = walks.Launch(w);
     queues[store.BlockOf(walker.cur)].push_back(walker);
-    ++live;
   }
   for (uint32_t b = 0; b < num_blocks; ++b) {
     if (b != ram) {
       store.SetParked(b, queues[b].size());
     }
   }
+  WalkerSpill spill(options.spill_threshold_walkers > 0 ? options.spill_dir
+                                                        : std::string(),
+                    num_blocks);
 
   constexpr std::size_t kGrain = 256;
-  std::vector<OocWalker> run;
+  std::vector<Walker> run;
   while (live > 0) {
     // RAM-block walkers drain first (no I/O to schedule); otherwise load
     // the block with the most parked walkers.
-    int64_t picked = queues[ram].empty() ? store.PickNextBlock()
-                                         : static_cast<int64_t>(ram);
+    const int64_t picked = queues[ram].empty() ? store.PickNextBlock()
+                                               : static_cast<int64_t>(ram);
     if (picked < 0) {
       result.error = "ooc scheduler: live walkers but no runnable block";
       break;
@@ -230,58 +175,20 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
         pool != nullptr
             ? util::ComputeChunkPlan(run.size(), kGrain, pool->NumThreads())
             : util::ChunkPlan{1, run.size()};
-    std::vector<util::ScratchVector<OocWalker>> outboxes(plan.num_chunks);
+    // Sinks persist across passes (chunk c of each pass is their single
+    // writer); the builder merges them once at the end.
+    const std::span<WalkSink> sinks = walks.Sinks(plan.num_chunks);
+    std::vector<util::ScratchVector<Walker>> outboxes(plan.num_chunks);
+    const auto stay = [&](graph::VertexId v) {
+      return !budgeted || store.BlockOf(v) == b;
+    };
     const auto run_chunk = [&](std::size_t chunk, std::size_t lo,
                                std::size_t hi) {
-      uint64_t steps = 0;
-      uint64_t finished = 0;
-      util::ScratchVector<OocWalker> moved(scratch);
-      util::ScratchVector<uint32_t> local_visits(scratch);
-      if (cfg.count_visits) {
-        local_visits.assign(num_vertices, 0);
-      }
+      util::ScratchVector<Walker> moved(walks.Scratch());
       for (std::size_t i = lo; i < hi; ++i) {
-        OocWalker w = run[i];
-        for (;;) {
-          // Exactly the engine's per-hop variate order: one StepperNext,
-          // then one Terminate draw after every successful hop.
-          const graph::VertexId next =
-              StepperNext(stepper, w.cur, w.prev, w.len, w.rng);
-          if (next == graph::kInvalidVertex) {
-            if (w.len > 0) {
-              ++finished;
-            }
-            break;
-          }
-          w.prev = w.cur;
-          w.cur = next;
-          ++w.len;
-          ++steps;
-          if (cfg.record_paths) {
-            walker_paths[w.id].push_back(next);
-          }
-          if (cfg.count_visits) {
-            ++local_visits[next];
-          }
-          const bool term = stepper.Terminate(w.rng);
-          if (term || w.len >= cfg.walk_length) {
-            ++finished;
-            break;
-          }
-          if (store.BlockOf(w.cur) != b) {
-            moved.push_back(w);  // crossed out: park for its new block
-            break;
-          }
-        }
-      }
-      total_steps.fetch_add(steps, std::memory_order_relaxed);
-      finished_walkers.fetch_add(finished, std::memory_order_relaxed);
-      if (cfg.count_visits) {
-        for (graph::VertexId v = 0; v < num_vertices; ++v) {
-          if (local_visits[v] != 0) {
-            visit_acc[v].fetch_add(local_visits[v],
-                                   std::memory_order_relaxed);
-          }
+        Walker w = run[i];
+        if (Advance(stepper, cfg, w, sinks[chunk], stay)) {
+          moved.push_back(w);  // crossed out: park for its new block
         }
       }
       outboxes[chunk] = std::move(moved);
@@ -295,7 +202,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
 
     uint64_t parked = 0;
     for (const auto& moved : outboxes) {
-      for (const OocWalker& w : moved) {
+      for (const Walker& w : moved) {
         queues[store.BlockOf(w.cur)].push_back(w);
         ++parked;
       }
@@ -303,23 +210,18 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
     result.walker_parks += parked;
     live -= run.size() - parked;
 
-    if (spill.Enabled()) {
-      for (uint32_t q = 0; q < num_blocks; ++q) {
-        if (q != ram &&
-            queues[q].size() >= options.spill_threshold_walkers &&
-            !queues[q].empty()) {
-          if (spill.Spill(q, queues[q].data(), queues[q].size())) {
-            result.spilled_walkers += queues[q].size();
-            queues[q].clear();
-            queues[q].shrink_to_fit();
-          }
-        }
-      }
-    }
     for (uint32_t q = 0; q < num_blocks; ++q) {
-      if (q != ram) {
-        store.SetParked(q, queues[q].size() + spill.Spilled(q));
+      if (q == ram) {
+        continue;
       }
+      if (spill.Enabled() && !queues[q].empty() &&
+          queues[q].size() >= options.spill_threshold_walkers &&
+          spill.Spill(q, queues[q].data(), queues[q].size())) {
+        result.spilled_walkers += queues[q].size();
+        queues[q].clear();
+        queues[q].shrink_to_fit();
+      }
+      store.SetParked(q, queues[q].size() + spill.Spilled(q));
     }
   }
   if (exclusive) {
@@ -330,42 +232,18 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   result.block_loads = after.loads - before.loads;
   result.block_evictions = after.evictions - before.evictions;
   result.peak_resident_bytes = after.peak_resident_bytes;
-  result.total_steps = total_steps.load(std::memory_order_relaxed);
-  result.finished_walkers = finished_walkers.load(std::memory_order_relaxed);
-  if (cfg.count_visits) {
-    result.visit_counts.resize(num_vertices);
-    for (graph::VertexId v = 0; v < num_vertices; ++v) {
-      result.visit_counts[v] = visit_acc[v].load(std::memory_order_relaxed);
-    }
-  }
-  if (cfg.record_paths) {
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      result.path_offsets[w + 1] = walker_paths[w].size();
-    }
-    for (std::size_t i = 1; i < result.path_offsets.size(); ++i) {
-      result.path_offsets[i] += result.path_offsets[i - 1];
-    }
-    result.paths.resize(result.path_offsets.back());
-    for (uint64_t w = 0; w < num_walkers; ++w) {
-      uint64_t cursor = result.path_offsets[w];
-      for (const graph::VertexId v : walker_paths[w]) {
-        result.paths[cursor++] = v;
-      }
-    }
-  }
+  walks.Finish(result);
   return result;
 }
 
-// Application entry points, mirroring walk/apps.h config normalization
-// exactly so OOC output is comparable record for record.
+// Application entry points; the same steppers and config makers as apps.h.
 
-template <typename Store>
-  requires BlockScheduledStore<Store>
+template <BlockScheduledStore Store>
 OocWalkResult RunOocDeepWalk(const Store& store, const WalkConfig& cfg,
                              util::ThreadPool* pool = nullptr,
                              const OocWalkOptions& options = {}) {
-  internal::FirstOrderStepper<Store> stepper{store};
-  return RunOocWalks(store, cfg, stepper, pool, options);
+  return RunOocWalks(store, cfg, internal::FirstOrderStepper<Store>{store},
+                     pool, options);
 }
 
 template <typename Store>
@@ -374,21 +252,18 @@ OocWalkResult RunOocNode2vec(const Store& store, const WalkConfig& cfg,
                              const Node2vecParams& params = {},
                              util::ThreadPool* pool = nullptr,
                              const OocWalkOptions& options = {}) {
-  internal::Node2vecStepper<Store> stepper{store, params,
-                                           Node2vecFMax(params)};
-  return RunOocWalks(store, cfg, stepper, pool, options);
+  return RunOocWalks(store, cfg, internal::MakeNode2vecStepper(store, params),
+                     pool, options);
 }
 
-template <typename Store>
-  requires BlockScheduledStore<Store>
-OocWalkResult RunOocPpr(const Store& store, WalkConfig cfg,
+template <BlockScheduledStore Store>
+OocWalkResult RunOocPpr(const Store& store, const WalkConfig& cfg,
                         double stop_probability = 1.0 / 80.0,
                         util::ThreadPool* pool = nullptr,
                         const OocWalkOptions& options = {}) {
-  cfg.count_visits = true;
-  cfg.walk_length = PprCappedWalkLength(cfg.walk_length);
-  internal::PprStepper<Store> stepper{store, stop_probability};
-  return RunOocWalks(store, cfg, stepper, pool, options);
+  return RunOocWalks(store, PprConfig(cfg),
+                     internal::PprStepper<Store>{store, stop_probability},
+                     pool, options);
 }
 
 template <typename Store>
@@ -397,8 +272,9 @@ OocWalkResult RunOocMetapath(const Store& store, const WalkConfig& cfg,
                              const MetapathParams& params = {},
                              util::ThreadPool* pool = nullptr,
                              const OocWalkOptions& options = {}) {
-  internal::MetapathStepper<Store> stepper{store, params};
-  return RunOocWalks(store, cfg, stepper, pool, options);
+  return RunOocWalks(store, cfg,
+                     internal::MetapathStepper<Store>{store, params}, pool,
+                     options);
 }
 
 }  // namespace bingo::walk

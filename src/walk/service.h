@@ -45,7 +45,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -68,7 +67,7 @@ struct ServiceStats {
   uint64_t queries_served = 0;   // snapshots handed out
   uint64_t batches_applied = 0;
   uint64_t updates_applied = 0;  // individual update requests ingested
-  uint64_t drain_spins = 0;      // writer yields spent waiting for readers
+  uint64_t drain_spins = 0;      // writer wakeups while draining readers
   uint64_t wal_records = 0;      // batches journaled to the WAL
   uint64_t wal_updates = 0;      // updates journaled to the WAL
   uint64_t checkpoints = 0;      // Checkpoint() calls that succeeded
@@ -151,10 +150,12 @@ class WalkServiceT {
     Snapshot& operator=(const Snapshot&) = delete;
     Snapshot& operator=(Snapshot&&) = delete;
     ~Snapshot() {
-      if (readers_ != nullptr) {
-        // Release: our reads of the store happen-before the writer's
-        // mutation (it acquires the counter before touching the replica).
-        readers_->fetch_sub(1, std::memory_order_release);
+      // Release: our reads of the store happen-before the writer's
+      // mutation (it acquires the counter before touching the replica).
+      // The last reader out wakes a writer blocked in DrainReaders.
+      if (readers_ != nullptr &&
+          readers_->fetch_sub(1, std::memory_order_release) == 1) {
+        readers_->notify_all();
       }
     }
 
@@ -471,14 +472,22 @@ class WalkServiceT {
   // Writers are serialized by update_mutex_; the replica itself is guarded
   // by the drain/seqlock protocol (readers pin it via Snapshot), which a
   // mutex annotation cannot express — the seqlock tests and TSan cover it.
+  //
+  // Drain: blocks until no snapshot pins `r`. The release-decrement in
+  // ~Snapshot pairs with these acquire loads, ordering every reader access
+  // before the caller's writes; new readers cannot arrive, because only
+  // the back replica is ever drained.
+  void DrainReaders(Replica& r) BINGO_REQUIRES(update_mutex_) {
+    for (int64_t n = r.readers.load(std::memory_order_acquire); n != 0;
+         n = r.readers.load(std::memory_order_acquire)) {
+      drain_spins_.fetch_add(1, std::memory_order_relaxed);
+      r.readers.wait(n, std::memory_order_acquire);
+    }
+  }
+
   core::BatchResult MutateReplica(Replica& r, const graph::UpdateList& updates)
       BINGO_REQUIRES(update_mutex_) {
-    // Drain: the release-decrement in ~Snapshot pairs with this acquire
-    // load, ordering every reader access before our writes.
-    while (r.readers.load(std::memory_order_acquire) != 0) {
-      drain_spins_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
+    DrainReaders(r);
     r.version.fetch_add(1, std::memory_order_release);  // odd: mutating
     const core::BatchResult result = r.store->ApplyBatch(updates, update_pool_);
     r.version.fetch_add(1, std::memory_order_release);  // even: stable
@@ -491,10 +500,7 @@ class WalkServiceT {
     requires CheckpointableStore<Store>
   {
     update_mutex_.AssertHeld();
-    while (r.readers.load(std::memory_order_acquire) != 0) {
-      drain_spins_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
+    DrainReaders(r);
     r.version.fetch_add(1, std::memory_order_release);  // odd: mutating
     const graph::VertexId n = r.store->NumVertices();
     const core::BingoConfig config = r.store->Config();

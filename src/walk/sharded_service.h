@@ -65,7 +65,7 @@ struct ShardedServiceStats {
   uint64_t batches_applied = 0;  // per-shard batches (one multi-shard
                                  // ApplyBatch counts once per shard hit)
   uint64_t updates_applied = 0;
-  uint64_t drain_spins = 0;
+  uint64_t drain_spins = 0;      // writer wakeups while draining readers
   uint64_t wal_records = 0;      // per-shard batches journaled
   uint64_t wal_updates = 0;
   uint64_t checkpoints = 0;      // per-shard checkpoint operations

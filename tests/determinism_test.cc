@@ -165,6 +165,134 @@ TEST(DeterminismTest, MatrixAcrossThreadsPinningAndDrivers) {
   }
 }
 
+// The edge-case rows of the cross-driver table: the start guard, walker
+// launch and result merge are shared by every driver, so each must
+// reproduce the engine field by field on a zero walk length, an
+// out-of-range start, more walkers than vertices, a start on a dead end,
+// and paths plus visit counts recorded together. BingoStore drivers
+// (superstep, fused) compare with the engine on BingoStore; tiered-store
+// drivers (out-of-core at two budgets, superstep, fused) with the engine
+// on the tiered store.
+TEST(DeterminismTest, EdgeCaseMatrixAcrossDrivers) {
+  util::Rng rng(19);
+  auto pairs = graph::GenerateRmat(8, 2400, rng);
+  graph::MakeUndirected(pairs);
+  graph::Canonicalize(pairs);
+  const graph::VertexId n = 260;  // 256..259 have no edges: dead ends
+  const graph::Csr csr = graph::Csr::FromPairs(n, pairs);
+  graph::BiasParams bias_params;
+  const auto biases = graph::GenerateBiases(csr, bias_params, rng);
+  const auto edges = graph::ToWeightedEdges(csr, biases);
+  const BingoStore store(graph::DynamicGraph::FromEdges(n, edges));
+  const PartitionedBingoStore sharded(edges, n, 4);
+
+  const std::string path = ::testing::TempDir() + "/determinism_edge.csr";
+  std::string error;
+  ASSERT_TRUE(graph::WriteCsrFile(path, n, edges, 4096, &error)) << error;
+  const auto open = [&](std::size_t budget) {
+    TieredStoreOptions options;
+    options.memory_budget_bytes = budget;
+    auto tiered = TieredStore::Open(path, {}, options, nullptr, &error);
+    EXPECT_NE(tiered, nullptr) << error;
+    return tiered;
+  };
+  const auto unbudgeted = open(0);
+  const auto budgeted = open(edges.size() * sizeof(graph::Edge) / 4);
+  ASSERT_NE(unbudgeted, nullptr);
+  ASSERT_NE(budgeted, nullptr);
+
+  WalkConfig base;
+  base.walk_length = 12;
+  base.record_paths = true;
+  base.count_visits = true;
+  base.num_walkers = 600;
+  std::vector<std::pair<std::string, WalkConfig>> cases;
+  cases.emplace_back("walk_length=0", base);
+  cases.back().second.walk_length = 0;
+  cases.emplace_back("start_vertex=|V|", base);
+  cases.back().second.start_vertex = n;
+  cases.emplace_back("num_walkers>|V|", base);
+  cases.back().second.num_walkers = 3 * n + 7;
+  cases.emplace_back("dead-end start", base);
+  cases.back().second.start_vertex = n - 1;
+  cases.emplace_back("one walker per vertex", base);
+  cases.back().second.num_walkers = 0;
+
+  util::ThreadPool pool4(4);
+  for (const auto& [name, cfg] : cases) {
+    for (const bool ppr : {false, true}) {
+      // Every driver's DeepWalk or PPR entry point over one store.
+      const auto engine = [&](const auto& s, util::ThreadPool* pool) {
+        return ppr ? RunPpr(s, cfg, 1.0 / 20.0, pool)
+                   : RunDeepWalk(s, cfg, pool);
+      };
+      const auto superstep = [&](const auto& s, util::ThreadPool* pool) {
+        return ppr ? RunPartitionedPpr(s, cfg, 1.0 / 20.0, pool)
+                   : RunPartitionedDeepWalk(s, cfg, pool);
+      };
+      const auto fused = [&](const auto& s, util::ThreadPool* pool) {
+        WalkResult result;
+        const std::span<const WalkConfig> one(&cfg, 1);
+        if (ppr) {
+          RunPprFused(s, one, std::span<WalkResult>(&result, 1), 1.0 / 20.0,
+                      pool);
+        } else {
+          RunDeepWalkFused(s, one, std::span<WalkResult>(&result, 1), pool);
+        }
+        return result;
+      };
+      const auto ooc = [&](const TieredStore& s, util::ThreadPool* pool) {
+        const OocWalkResult result = ppr ? RunOocPpr(s, cfg, 1.0 / 20.0, pool)
+                                         : RunOocDeepWalk(s, cfg, pool);
+        EXPECT_TRUE(result.error.empty()) << result.error;
+        return result;
+      };
+
+      const WalkResult reference = engine(store, nullptr);
+      const WalkResult tiered_reference = engine(*unbudgeted, nullptr);
+      for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool4}) {
+        SCOPED_TRACE(name + (ppr ? " ppr" : " deepwalk") +
+                     (pool != nullptr ? " threads=4" : " serial"));
+        ExpectIdentical(reference, engine(store, pool));
+        ExpectIdentical(reference, superstep(sharded, pool));
+        ExpectIdentical(reference, fused(store, pool));
+        ExpectIdentical(tiered_reference, engine(*unbudgeted, pool));
+        ExpectIdentical(tiered_reference, ooc(*unbudgeted, pool));
+        ExpectIdentical(tiered_reference, ooc(*budgeted, pool));
+        ExpectIdentical(tiered_reference, superstep(*budgeted, pool));
+        ExpectIdentical(tiered_reference, fused(*unbudgeted, pool));
+      }
+
+      // The guard semantics themselves, on the reference.
+      SCOPED_TRACE(name + (ppr ? " ppr" : " deepwalk"));
+      const uint64_t walkers = cfg.num_walkers == 0 ? n : cfg.num_walkers;
+      ASSERT_EQ(reference.path_offsets.size(), walkers + 1);
+      if (cfg.start_vertex == n) {
+        EXPECT_EQ(reference.total_steps, 0u);
+        EXPECT_EQ(reference.path_offsets.back(), 0u);
+        EXPECT_TRUE(reference.paths.empty());
+        EXPECT_TRUE(reference.visit_counts.empty());
+        continue;
+      }
+      uint64_t visits = 0;
+      for (const uint32_t count : reference.visit_counts) {
+        visits += count;
+      }
+      EXPECT_EQ(visits, reference.total_steps + walkers);
+      EXPECT_EQ(reference.paths.size(), reference.total_steps + walkers);
+      // PPR raises a zero walk length to its 16-step cap.
+      if ((cfg.walk_length == 0 && !ppr) || cfg.start_vertex == n - 1) {
+        EXPECT_EQ(reference.total_steps, 0u);
+        EXPECT_EQ(reference.finished_walkers, 0u);
+      } else {
+        EXPECT_GT(reference.total_steps, 0u);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // The out-of-core row of the acceptance matrix: the block-scheduled driver
 // over the tiered store at budgets {unconstrained, 1/2, 1/4 of the edge
 // bytes} x threads {1, 4, 16} pinned and unpinned x apps {DeepWalk,

@@ -269,6 +269,38 @@ TEST(OocWalkTest, SuperstepAndFusedDriversMatchOnTieredStore) {
   std::remove(csr.c_str());
 }
 
+// An unbudgeted store demand-maps every block, so the block schedule must
+// reduce to run-to-completion: one pass per non-empty start block, no
+// walker ever parked, output bit-identical to the engine on the same store.
+TEST(OocWalkTest, UnbudgetedStoreParksNoWalkers) {
+  const auto edges = RmatEdges(30);
+  const std::string csr = WriteCsr(edges, "ooc_unbudgeted.csr");
+  const auto store = OpenTiered(csr, 0);
+  ASSERT_FALSE(store->Budgeted());
+  ASSERT_GT(store->Csr().NumBlocks(), 1u);
+  const WalkConfig cfg = SmallConfig();
+  std::vector<uint32_t> start_blocks;
+  for (VertexId v = 0; v < store->NumVertices(); ++v) {
+    start_blocks.push_back(store->BlockOf(v));
+  }
+  std::sort(start_blocks.begin(), start_blocks.end());
+  const auto distinct = static_cast<uint64_t>(
+      std::unique(start_blocks.begin(), start_blocks.end()) -
+      start_blocks.begin());
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const WalkResult reference = RunDeepWalk(*store, cfg, p);
+    const OocWalkResult ooc = RunOocDeepWalk(*store, cfg, p);
+    ASSERT_TRUE(ooc.error.empty()) << ooc.error;
+    ExpectSameResult(ooc, reference, "unbudgeted deepwalk");
+    EXPECT_GT(ooc.total_steps, 0u);
+    EXPECT_EQ(ooc.walker_parks, 0u);
+    EXPECT_LE(ooc.block_passes, distinct);
+  }
+  std::remove(csr.c_str());
+}
+
 TEST(OocWalkTest, ConcurrentWalksOnBudgetedStoreAreRejected) {
   const auto edges = RmatEdges(26);
   const std::string csr = WriteCsr(edges, "ooc_exclusive.csr");

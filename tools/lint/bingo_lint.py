@@ -46,6 +46,15 @@ Rules (see README "Correctness tooling"):
                          deadlines are wall-clock by design and never feed a
                          sampling decision.
 
+  walker-stream          util::Rng::ForStream( under src/walk/ is only allowed
+                         in src/walk/walker.h, the walker kernel every walk
+                         driver shares: a driver that derives walker streams
+                         itself restates the per-walker variate contract
+                         (engine.h) and can drift from the other drivers.
+                         Walks that are not driver walks (the incremental
+                         corpus's generation and repair epochs, analytics'
+                         per-pair streams) carry a justified allow().
+
 Suppression: append to the offending line
     // bingo-lint: allow(<rule>) -- <justification>
 The justification is mandatory; a bare allow() is itself an error.
@@ -117,6 +126,12 @@ WALL_CLOCK = [
      "(AdvanceTime epochs); use graph::MakeAdvanceTime"),
 ]
 
+WALKER_STREAM = [
+    (re.compile(r'\bRng::ForStream\s*\('),
+     "per-walker stream derived outside src/walk/walker.h; launch walkers "
+     "through WalkBuilder so every driver keeps one variate contract"),
+]
+
 ALLOW = re.compile(r'//\s*bingo-lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?')
 
 COMMENT_OR_STRING = re.compile(
@@ -153,6 +168,8 @@ def rules_for(rel):
     if (posix.startswith(('src/walk/', 'src/core/'))
             and posix != 'src/walk/query_batcher.h'):
         applicable.append(('wall-clock-time', WALL_CLOCK))
+    if posix.startswith('src/walk/') and posix != 'src/walk/walker.h':
+        applicable.append(('walker-stream', WALKER_STREAM))
     return applicable
 
 

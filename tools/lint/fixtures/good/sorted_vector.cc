@@ -1,5 +1,6 @@
 // Known-good: sorted+uniqued vector instead of a hash set; annotated
-// wrappers instead of raw primitives; ForStream-derived RNG.
+// wrappers instead of raw primitives; ForStream-derived RNG (outside the
+// walker kernel that needs a justified walker-stream allow()).
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -23,6 +24,6 @@ struct Touched {
 };
 
 uint64_t Draw(uint64_t seed, uint64_t stream) {
-  bingo::util::Rng rng = bingo::util::Rng::ForStream(seed, stream);
+  bingo::util::Rng rng = bingo::util::Rng::ForStream(seed, stream);  // bingo-lint: allow(walker-stream) -- a standalone stream, not a driver walker
   return rng.Next();
 }
