@@ -91,14 +91,25 @@ class BingoStore {
     }
   }
 
-  // Advisory prefetch of v's sampler state and adjacency head, so a fused
-  // walk pass can hide the pointer chase of the next step's draw.
+  // Two-stage advisory prefetch of a draw at v, so the walk drivers can
+  // hide the next step's pointer chase behind other walkers' work (see
+  // walk/store.h PrefetchingStore). Stage 1, PrefetchVertex, hints every
+  // line of v's sampler record and its adjacency slot and reads neither.
+  // Stage 2, PrefetchTables, issued once those lines have arrived, reads
+  // them and hints the tables they point to and the adjacency head.
   void PrefetchVertex(graph::VertexId v) const {
     if (v >= samplers_.size()) {
       return;
     }
-    util::PrefetchRead(&samplers_[v]);
-    graph_.PrefetchVertex(v);
+    util::PrefetchLines(&samplers_[v], sizeof(VertexSampler));
+    graph_.PrefetchSlot(v);
+  }
+  void PrefetchTables(graph::VertexId v) const {
+    if (v >= samplers_.size()) {
+      return;
+    }
+    samplers_[v].PrefetchTables();
+    graph_.PrefetchEdges(v);
   }
 
   // --- streaming updates (§4.2) -------------------------------------------

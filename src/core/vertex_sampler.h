@@ -28,6 +28,7 @@
 #include "src/core/radix.h"
 #include "src/graph/types.h"
 #include "src/sampling/alias_table.h"
+#include "src/util/prefetch.h"
 #include "src/util/rng.h"
 
 namespace bingo::core {
@@ -132,6 +133,24 @@ class VertexSampler {
   void SampleIndexBatch(std::span<const graph::Edge> adj,
                         util::Rng* const* rngs, std::size_t n,
                         uint32_t* out) const;
+
+  // Advisory prefetch of the tables SampleIndex reads after this record:
+  // the slot-to-group map, the inter-group alias table and the head of the
+  // group array. Reads only this (already cached) record.
+  void PrefetchTables() const {
+    if (alias_groups_.empty()) {
+      return;
+    }
+    util::PrefetchRead(alias_groups_.data());
+    if (alias_groups_.size() > 1) {
+      util::PrefetchReadRange(alias_.Probs().data(),
+                              alias_.Probs().size_bytes());
+      util::PrefetchReadRange(alias_.Aliases().data(),
+                              alias_.Aliases().size_bytes());
+    }
+    util::PrefetchReadRange(groups_.data(),
+                            groups_.size() * sizeof(RadixGroup));
+  }
 
   // --- introspection ------------------------------------------------------
 

@@ -74,13 +74,15 @@ class DynamicGraph {
     return slots_[v].edges[index];
   }
 
-  // Hints the hardware prefetcher at v's slot header and the head of its
-  // adjacency block. Used by the fused walk passes to hide the pointer
-  // chase of the *next* step while the current one computes (§ batched
-  // serving). Safe for any v < NumVertices(); purely advisory.
-  void PrefetchVertex(VertexId v) const {
+  // Two-stage prefetch of v's adjacency for the walk drivers; safe for any
+  // v < NumVertices() and purely advisory. PrefetchSlot hints v's slot
+  // record without reading it, so it never stalls; PrefetchEdges, issued
+  // once that record has arrived, reads it and hints the adjacency head.
+  void PrefetchSlot(VertexId v) const {
+    util::PrefetchLines(&slots_[v], sizeof(Slot));
+  }
+  void PrefetchEdges(VertexId v) const {
     const Slot& s = slots_[v];
-    util::PrefetchRead(&s);
     if (s.edges != nullptr) {
       util::PrefetchReadRange(s.edges, s.size * sizeof(Edge));
     }

@@ -1,8 +1,7 @@
 // Fused walk passes: many queries, one step-synchronous engine sweep.
 //
-// The per-query driver (walk/engine.h) advances one walker to completion
-// before touching the next, so every step pays an isolated pointer chase
-// into the sampler of a cold vertex. This driver executes a GROUP of walk
+// The per-query driver (walk/engine.h) keeps a small ring of walkers in
+// flight and runs each to completion. This driver executes a GROUP of walk
 // queries as one pass: the union of all queries' walkers is chunked onto
 // the executor, and within a chunk all walkers advance together step by
 // step. That layout is what unlocks two serving optimizations:
@@ -12,8 +11,10 @@
 //     SampleNeighborBatch (SIMD alias/ITS/radix kernels,
 //     src/sampling/batch_kernels.h) instead of d independent scalar draws.
 //   * Software prefetch — while one vertex's group is being resolved, the
-//     next group's sampler state and adjacency head are prefetched
-//     (store.PrefetchVertex), hiding the chase behind real work.
+//     store's two prefetch stages (PrefetchingStore, walk/store.h) run
+//     ahead of it: stage 1 (PrefetchVertex) kPrefetchAhead groups ahead,
+//     stage 2 (PrefetchTables) half as far, hiding the chase behind real
+//     work. Scalar sweeps do the same over walkers instead of groups.
 //
 // Walkers keep the variate contract stated in engine.h: every reordering
 // here is across walkers, and the batched draw is itself bit-identical per
@@ -63,8 +64,28 @@ inline constexpr bool kBatchDraws =
 // Walkers standing alone on a vertex go through the scalar stepper; only
 // runs at least this long pay the batch kernel's tile setup.
 inline constexpr std::size_t kMinBatchRun = 4;
-// Lookahead distance for the scalar prefetch path.
+// Prefetch distance, in sweep positions (vertex groups or walkers), of
+// stage 1; stage 2 runs half as far ahead, once stage 1 has landed.
 inline constexpr std::size_t kPrefetchAhead = 8;
+
+// Issues the prefetch stages due at position i of a sweep over `count`
+// positions, position j drawing at vertex_at(j). The first position also
+// issues stage 1 for those no earlier position covered.
+template <typename Store, typename VertexAt>
+void PrefetchAhead(const Store& store, std::size_t i, std::size_t count,
+                   const VertexAt& vertex_at) {
+  if (i == 0) {
+    for (std::size_t j = 0; j < std::min(kPrefetchAhead, count); ++j) {
+      PrefetchStage1(store, vertex_at(j));
+    }
+  }
+  if (i + kPrefetchAhead < count) {
+    PrefetchStage1(store, vertex_at(i + kPrefetchAhead));
+  }
+  if (i + kPrefetchAhead / 2 < count) {
+    PrefetchStage2(store, vertex_at(i + kPrefetchAhead / 2));
+  }
+}
 
 // Stores may advertise their own break-even run length via a static
 // kMinBatchRun member — the out-of-core tiered store fetches the edge run
@@ -91,6 +112,7 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
   util::ScratchVector<Walker> walkers(scratch);
   util::ScratchVector<uint32_t> alive(scratch);
   util::ScratchVector<uint64_t> order(scratch);
+  util::ScratchVector<uint32_t> group_starts(scratch);
   util::ScratchVector<util::Rng*> rng_ptrs(scratch);
   util::ScratchVector<graph::VertexId> batch_out(scratch);
   walkers.reserve(n);
@@ -125,15 +147,24 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
       const auto lane = [&](std::size_t t) {
         return static_cast<uint32_t>(order[t]);
       };
-      for (std::size_t a = 0, b = 0; a < num_alive; a = b) {
-        const auto v = static_cast<graph::VertexId>(order[a] >> 32);
-        for (b = a + 1; b < num_alive && (order[b] >> 32) == v; ++b) {
+      const auto vertex = [&](std::size_t t) {
+        return static_cast<graph::VertexId>(order[t] >> 32);
+      };
+      group_starts.clear();
+      for (std::size_t t = 0; t < num_alive; ++t) {
+        if (t == 0 || vertex(t) != vertex(t - 1)) {
+          group_starts.push_back(static_cast<uint32_t>(t));
         }
-        if (b < num_alive) {
-          // Warm the next group's sampler + adjacency while this group
-          // resolves.
-          store.PrefetchVertex(static_cast<graph::VertexId>(order[b] >> 32));
-        }
+      }
+      const std::size_t num_groups = group_starts.size();
+      group_starts.push_back(static_cast<uint32_t>(num_alive));
+      for (std::size_t g = 0; g < num_groups; ++g) {
+        PrefetchAhead(store, g, num_groups, [&](std::size_t h) {
+          return vertex(group_starts[h]);
+        });
+        const std::size_t a = group_starts[g];
+        const std::size_t b = group_starts[g + 1];
+        const graph::VertexId v = vertex(a);
         if (b - a < MinBatchRunFor<Store>()) {
           for (std::size_t t = a; t < b; ++t) {
             scalar_hop(lane(t));
@@ -150,14 +181,11 @@ void RunFusedChunk(const Store& store, const Stepper& stepper,
         }
       }
     } else {
+      // Survivors are compacted at or behind j, so alive[j + d] is unread.
       for (std::size_t j = 0; j < num_alive; ++j) {
-        if constexpr (requires(graph::VertexId v) {
-                        store.PrefetchVertex(v);
-                      }) {
-          if (j + kPrefetchAhead < num_alive) {
-            store.PrefetchVertex(walkers[alive[j + kPrefetchAhead]].cur);
-          }
-        }
+        PrefetchAhead(store, j, num_alive, [&](std::size_t k) {
+          return walkers[alive[k]].cur;
+        });
         scalar_hop(alive[j]);
       }
     }

@@ -57,6 +57,9 @@ struct OocWalkResult : WalkResult {
   uint64_t spilled_walkers = 0;  // walker records written to spill files
   uint64_t block_loads = 0;      // cache loads attributable to this walk
   uint64_t block_evictions = 0;
+  // Loads admitted past the memory budget (a block larger than the budget,
+  // or every resident block pinned); peak_resident_bytes shows by how much.
+  uint64_t budget_overshoots = 0;
   std::size_t peak_resident_bytes = 0;
   std::string error;  // non-empty: the walk aborted (results partial)
 };
@@ -231,6 +234,7 @@ OocWalkResult RunOocWalks(const Store& store, const WalkConfig& cfg,
   const core::BlockCacheStats after = store.CacheStats();
   result.block_loads = after.loads - before.loads;
   result.block_evictions = after.evictions - before.evictions;
+  result.budget_overshoots = after.budget_overshoots - before.budget_overshoots;
   result.peak_resident_bytes = after.peak_resident_bytes;
   walks.Finish(result);
   return result;

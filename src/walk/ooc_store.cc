@@ -145,6 +145,12 @@ void TieredStore::PrefetchVertex(graph::VertexId v) const {
   }
 }
 
+void TieredStore::PrefetchTables(graph::VertexId v) const {
+  if (Promoted(v)) {
+    overlay_->PrefetchTables(v);
+  }
+}
+
 bool TieredStore::HasEdge(graph::VertexId src, graph::VertexId dst) const {
   if (Promoted(src)) {
     return overlay_->HasEdge(src, dst);

@@ -86,7 +86,9 @@ class TieredStore {
   // base-edge run is fetched once for the whole lane batch.
   void SampleNeighborBatch(graph::VertexId v, util::Rng* const* rngs,
                            std::size_t n, graph::VertexId* out) const;
+  // The two-stage prefetch hints (walk/store.h), for promoted vertices.
   void PrefetchVertex(graph::VertexId v) const;
+  void PrefetchTables(graph::VertexId v) const;
 
   bool HasEdge(graph::VertexId src, graph::VertexId dst) const;
   std::span<const graph::Edge> NeighborsOf(graph::VertexId v) const;

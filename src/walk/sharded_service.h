@@ -153,9 +153,14 @@ class ShardedWalkServiceT {
       ShardFor(v).SampleNeighborBatch(v, rngs, n, out);
     }
     void PrefetchVertex(graph::VertexId v) const
-      requires BatchSamplingStore<Store>
+      requires PrefetchingStore<Store>
     {
       ShardFor(v).PrefetchVertex(v);
+    }
+    void PrefetchTables(graph::VertexId v) const
+      requires PrefetchingStore<Store>
+    {
+      ShardFor(v).PrefetchTables(v);
     }
     bool HasEdge(graph::VertexId src, graph::VertexId dst) const
       requires AdjacencyStore<Store>

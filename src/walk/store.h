@@ -44,18 +44,43 @@ concept SamplingStore =
     };
 
 // Stores that additionally expose a lane-batched draw — out[i] must be
-// bit-identical to SampleNeighbor(v, *rngs[i]) evaluated sequentially —
-// plus an advisory prefetch hook. The fused walk passes (walk/fused.h) use
-// these when present and fall back to per-walker SampleNeighbor otherwise,
-// so modeling this concept is an optimization, never a requirement.
+// bit-identical to SampleNeighbor(v, *rngs[i]) evaluated sequentially. The
+// fused walk passes (walk/fused.h) use it when present and fall back to
+// per-walker SampleNeighbor otherwise, so modeling this concept is an
+// optimization, never a requirement.
 template <typename S>
 concept BatchSamplingStore =
     SamplingStore<S> &&
     requires(const S& cs, graph::VertexId v, util::Rng* const* rngs,
              std::size_t n, graph::VertexId* out) {
       { cs.SampleNeighborBatch(v, rngs, n, out) };
-      { cs.PrefetchVertex(v) };
     };
+
+// Stores that take the walk drivers' two-stage prefetch hints for a draw
+// at v. Stage 1, PrefetchVertex(v), hints v's per-vertex records and must
+// not read them, so it never stalls on the miss it hides. Stage 2,
+// PrefetchTables(v), is issued some hops later, once stage 1 has landed: it
+// reads those records and hints the tables they point to. Both are pure
+// hints — a store without them walks bit-identically, only slower.
+template <typename S>
+concept PrefetchingStore = requires(const S& cs, graph::VertexId v) {
+  { cs.PrefetchVertex(v) };
+  { cs.PrefetchTables(v) };
+};
+
+// The hints for any store: no-ops on stores that do not take them.
+template <typename S>
+void PrefetchStage1(const S& store, graph::VertexId v) {
+  if constexpr (PrefetchingStore<S>) {
+    store.PrefetchVertex(v);
+  }
+}
+template <typename S>
+void PrefetchStage2(const S& store, graph::VertexId v) {
+  if constexpr (PrefetchingStore<S>) {
+    store.PrefetchTables(v);
+  }
+}
 
 // Stores that can additionally answer adjacency probes: needed by
 // node2vec's distance test (HasEdge) and uniform sampling (NeighborsOf).

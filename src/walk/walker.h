@@ -115,14 +115,9 @@ struct alignas(64) WalkSink {
     }
   }
 
+  // Logs w's latest hop: its count and visit, and its vertex in w's path.
   void Record(const Walker& w) {
-    ++steps;
-    if (count_visits) {
-      if (visits.empty()) {
-        visits.assign(num_vertices, 0);
-      }
-      ++visits[w.cur];
-    }
+    Count(w.cur);
     if (record_paths) {
       if (runs.empty() || runs.back().walker != w.id ||
           runs.back().pos + runs.back().count != w.len) {
@@ -132,6 +127,28 @@ struct alignas(64) WalkSink {
       hops.push_back(w.cur);
     }
   }
+
+  // The counting half of Record, for schedules that log paths themselves.
+  void Count(graph::VertexId cur) {
+    ++steps;
+    if (count_visits) {
+      if (visits.empty()) {
+        visits.assign(num_vertices, 0);
+      }
+      ++visits[cur];
+    }
+  }
+
+  // Logs `count` consecutive hops of `walker`, the first at path position
+  // `pos`, as one run.
+  void AppendRun(uint64_t walker, uint32_t pos, const graph::VertexId* hop,
+                 uint32_t count) {
+    runs.push_back(Run{walker, pos, count});
+    hops.append(hop, hop + count);
+  }
+
+  // `w` stopped; it counts as finished if it took a hop.
+  void Retire(const Walker& w) { finished += w.len > 0 ? 1 : 0; }
 
   uint64_t steps = 0;
   uint64_t finished = 0;
@@ -146,12 +163,13 @@ struct alignas(64) WalkSink {
 // Applies the resolved hop `next` (kInvalidVertex: dead end) to `w`, then
 // draws Terminate. Returns false once the walker retires. The caller must
 // have drawn `next` from w.rng via StepperNext(stepper, w.cur, w.prev,
-// w.len, w.rng) — directly or through a bit-identical batched draw.
-template <typename Stepper>
+// w.len, w.rng) — directly or through a bit-identical batched draw. `sink`
+// is a WalkSink, or a schedule's stand-in with the same Record/Retire.
+template <typename Stepper, typename Sink>
 bool Hop(const Stepper& stepper, uint32_t walk_length, Walker& w,
-         graph::VertexId next, WalkSink& sink) {
+         graph::VertexId next, Sink& sink) {
   if (next == graph::kInvalidVertex) {
-    sink.finished += w.len > 0 ? 1 : 0;
+    sink.Retire(w);
     return false;
   }
   w.prev = w.cur;
@@ -159,7 +177,7 @@ bool Hop(const Stepper& stepper, uint32_t walk_length, Walker& w,
   ++w.len;
   sink.Record(w);
   if (stepper.Terminate(w.rng) || w.len >= walk_length) {
-    ++sink.finished;
+    sink.Retire(w);
     return false;
   }
   return true;
@@ -179,8 +197,6 @@ bool Advance(const Stepper& stepper, const WalkConfig& cfg, Walker& w,
   }
   return false;
 }
-
-inline constexpr auto kRunToCompletion = [](graph::VertexId) { return true; };
 
 // Builds one WalkResult: owns the guard, walker launch, the sinks and the
 // final merge, so every schedule shares their semantics exactly.

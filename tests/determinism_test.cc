@@ -555,5 +555,162 @@ TEST(DeterminismTest, SamplingDoesNotMutateStore) {
   EXPECT_TRUE(store.CheckInvariants().empty()) << store.CheckInvariants();
 }
 
+// One walker at a time, straight from the variate contract in engine.h:
+// no lanes, sinks or runs, so it is an independent reference for the
+// engine's lane ring.
+template <typename Stepper>
+WalkResult OneWalkerAtATime(graph::VertexId n, const WalkConfig& cfg,
+                            const Stepper& stepper) {
+  WalkResult result;
+  const uint64_t walkers = cfg.num_walkers == 0 ? n : cfg.num_walkers;
+  if (cfg.record_paths) {
+    result.path_offsets.assign(walkers + 1, 0);
+  }
+  if (n == 0 || (cfg.start_vertex != graph::kInvalidVertex &&
+                 cfg.start_vertex >= n)) {
+    return result;
+  }
+  if (cfg.count_visits) {
+    result.visit_counts.assign(n, 0);
+  }
+  const auto visit = [&](graph::VertexId v) {
+    if (cfg.record_paths) {
+      result.paths.push_back(v);
+    }
+    if (cfg.count_visits) {
+      ++result.visit_counts[v];
+    }
+  };
+  for (uint64_t id = 0; id < walkers; ++id) {
+    graph::VertexId cur = cfg.start_vertex != graph::kInvalidVertex
+                              ? cfg.start_vertex
+                              : static_cast<graph::VertexId>(id % n);
+    graph::VertexId prev = graph::kInvalidVertex;
+    util::Rng rng = util::Rng::ForStream(cfg.seed, id);
+    uint32_t len = 0;
+    visit(cur);
+    while (len < cfg.walk_length) {
+      const graph::VertexId next = StepperNext(stepper, cur, prev, len, rng);
+      if (next == graph::kInvalidVertex) {
+        break;
+      }
+      prev = cur;
+      cur = next;
+      ++len;
+      visit(cur);
+      if (stepper.Terminate(rng)) {
+        break;
+      }
+    }
+    result.total_steps += len;
+    result.finished_walkers += len > 0 ? 1 : 0;
+    if (cfg.record_paths) {
+      result.path_offsets[id + 1] = result.paths.size();
+    }
+  }
+  return result;
+}
+
+// The engine keeps a ring of walkers in flight per chunk and stages each
+// walker's hops per lane. Walker counts below, at and just past the ring
+// width, walks of zero and one hop, walks longer than a lane's stage (so
+// hops flush mid-walk and must land in order), dead-end starts that retire
+// on launch, and PPR's early stops all refill lanes mid-ring; every cell
+// must match one-walker-at-a-time execution field by field.
+TEST(DeterminismTest, LaneRingMatchesOneWalkerAtATime) {
+  util::Rng rng(23);
+  auto pairs = graph::GenerateRmat(8, 2400, rng);
+  graph::MakeUndirected(pairs);
+  graph::Canonicalize(pairs);
+  const graph::VertexId n = 260;  // 256..259 have no edges: dead ends
+  const graph::Csr csr = graph::Csr::FromPairs(n, pairs);
+  graph::BiasParams bias_params;
+  const auto biases = graph::GenerateBiases(csr, bias_params, rng);
+  const BingoStore store(graph::DynamicGraph::FromCsr(csr, biases));
+
+  util::ThreadPool pool4(4);
+  for (const uint64_t walkers : {1ull, 7ull, 8ull, 9ull, 1000ull}) {
+    for (const uint32_t length : {0u, 1u, 10u, 150u}) {
+      for (const bool dead_end_start : {false, true}) {
+        WalkConfig cfg;
+        cfg.num_walkers = walkers;
+        cfg.walk_length = length;
+        cfg.record_paths = true;
+        cfg.count_visits = true;
+        cfg.seed = walkers * 131 + length;
+        if (dead_end_start) {
+          cfg.start_vertex = n - 1;
+        }
+        const auto node2vec = internal::MakeNode2vecStepper(store, {});
+        const WalkResult deepwalk_ref = OneWalkerAtATime(
+            n, cfg, internal::FirstOrderStepper<BingoStore>{store});
+        const WalkResult node2vec_ref = OneWalkerAtATime(n, cfg, node2vec);
+        const WalkResult ppr_ref = OneWalkerAtATime(
+            n, PprConfig(cfg),
+            internal::PprStepper<BingoStore>{store, 1.0 / 20.0});
+        for (util::ThreadPool* pool :
+             {static_cast<util::ThreadPool*>(nullptr), &pool4}) {
+          SCOPED_TRACE("walkers=" + std::to_string(walkers) +
+                       " length=" + std::to_string(length) +
+                       (dead_end_start ? " dead-end start" : "") +
+                       (pool != nullptr ? " threads=4" : " serial"));
+          ExpectIdentical(deepwalk_ref, RunDeepWalk(store, cfg, pool));
+          ExpectIdentical(node2vec_ref, RunNode2vec(store, cfg, {}, pool));
+          ExpectIdentical(ppr_ref, RunPpr(store, cfg, 1.0 / 20.0, pool));
+        }
+      }
+    }
+  }
+}
+
+// BingoStore seen through SamplingStore and AdjacencyStore only: no
+// prefetch hooks and no batched draw.
+struct HintlessStore {
+  const BingoStore& store;
+  graph::VertexId NumVertices() const { return store.NumVertices(); }
+  graph::VertexId SampleNeighbor(graph::VertexId v, util::Rng& rng) const {
+    return store.SampleNeighbor(v, rng);
+  }
+  bool HasEdge(graph::VertexId src, graph::VertexId dst) const {
+    return store.HasEdge(src, dst);
+  }
+  std::span<const graph::Edge> NeighborsOf(graph::VertexId v) const {
+    return store.NeighborsOf(v);
+  }
+};
+static_assert(PrefetchingStore<BingoStore>);
+static_assert(AdjacencyStore<HintlessStore> &&
+              !PrefetchingStore<HintlessStore> &&
+              !BatchSamplingStore<HintlessStore>);
+
+// Prefetching is only a hint: the engine and the fused driver walk a store
+// without the hooks bit-identically to the same store with them.
+TEST(DeterminismTest, PrefetchHooksAreOnlyHints) {
+  const BingoStore store = TestStore(29);
+  const HintlessStore hintless{store};
+  WalkConfig cfg;
+  cfg.walk_length = 30;
+  cfg.num_walkers = 1500;
+  cfg.record_paths = true;
+  cfg.count_visits = true;
+  util::ThreadPool pool4(4);
+  for (util::ThreadPool* pool :
+       {static_cast<util::ThreadPool*>(nullptr), &pool4}) {
+    SCOPED_TRACE(pool != nullptr ? "threads=4" : "serial");
+    ExpectIdentical(RunDeepWalk(store, cfg, pool),
+                    RunDeepWalk(hintless, cfg, pool));
+    ExpectIdentical(RunNode2vec(store, cfg, {}, pool),
+                    RunNode2vec(hintless, cfg, {}, pool));
+    ExpectIdentical(RunPpr(store, cfg, 1.0 / 20.0, pool),
+                    RunPpr(hintless, cfg, 1.0 / 20.0, pool));
+    ExpectIdentical(
+        RunFusedWalks(store, cfg,
+                      internal::FirstOrderStepper<BingoStore>{store}, pool),
+        RunFusedWalks(hintless, cfg,
+                      internal::FirstOrderStepper<HintlessStore>{hintless},
+                      pool));
+  }
+}
+
 }  // namespace
 }  // namespace bingo::walk

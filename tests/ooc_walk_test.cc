@@ -218,6 +218,43 @@ TEST(OocWalkTest, ResidentBytesStayWithinBudgetPlusOneBlock) {
   std::remove(csr.c_str());
 }
 
+// A budget below one block cannot be met: the cache admits the block
+// anyway. That must be reported, not silent — a 1 MiB budget over the
+// default 4 MiB blocks once ended at 4.0 MiB resident with nothing said.
+TEST(OocWalkTest, BudgetBelowOneBlockReportsOvershoot) {
+  // 65,536 vertices x 5 out-edges x 16 B = 5 MiB: one full 4 MiB block and
+  // a partial one.
+  constexpr VertexId kVertices = 1 << 16;
+  graph::WeightedEdgeList edges;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    for (VertexId k = 1; k <= 5; ++k) {
+      graph::WeightedEdge e;
+      e.src = v;
+      e.dst = (v * 7 + k * 977) % kVertices;
+      e.bias = k;
+      edges.push_back(e);
+    }
+  }
+  const std::string path = TempPath("ooc_overshoot.csr");
+  std::string error;
+  ASSERT_TRUE(graph::WriteCsrFile(path, kVertices, edges,
+                                  graph::kDefaultCsrBlockBytes, &error))
+      << error;
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  const auto store = OpenTiered(path, kBudget);
+  ASSERT_NE(store, nullptr);
+  ASSERT_GE(store->Csr().BlockPayloadBytes(0), 4u << 20);
+
+  WalkConfig cfg;
+  cfg.walk_length = 4;
+  cfg.num_walkers = 4096;
+  const OocWalkResult result = RunOocDeepWalk(*store, cfg);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_GT(result.budget_overshoots, 0u);
+  EXPECT_GT(result.peak_resident_bytes, kBudget);
+  std::remove(path.c_str());
+}
+
 TEST(OocWalkTest, SpilledParkingQueuesProduceIdenticalOutput) {
   const auto edges = RmatEdges(24);
   const std::string csr = WriteCsr(edges, "ooc_spill.csr");

@@ -995,6 +995,12 @@ int WalkOoc(const Args& args) {
       static_cast<unsigned long long>(result.block_loads),
       static_cast<unsigned long long>(result.block_evictions),
       result.peak_resident_bytes / 1024.0 / 1024.0);
+  std::printf("budget:           %s, peak resident %llu B, %llu overshoots\n",
+              args.memory_budget == 0
+                  ? "unconstrained"
+                  : (std::to_string(args.memory_budget) + " B").c_str(),
+              static_cast<unsigned long long>(result.peak_resident_bytes),
+              static_cast<unsigned long long>(result.budget_overshoots));
   std::printf("walkers:          %llu finished, %llu parks, %llu spilled\n",
               static_cast<unsigned long long>(result.finished_walkers),
               static_cast<unsigned long long>(result.walker_parks),
